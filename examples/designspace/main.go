@@ -30,7 +30,7 @@ func main() {
 		for _, bits := range bitsAxis {
 			var edp [3]float64
 			for i, d := range pixel.Designs() {
-				r, err := pixel.Evaluate(network, d, lanes, bits)
+				r, err := pixel.Point{Design: d, Lanes: lanes, Bits: bits}.Evaluate(network)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func main() {
 
 	// Area cost of the win (the paper's stated trade-off).
 	for _, d := range pixel.Designs() {
-		a, err := pixel.Area(d, 4, 4)
+		a, err := pixel.Point{Design: d, Lanes: 4, Bits: 4}.Area()
 		if err != nil {
 			log.Fatal(err)
 		}

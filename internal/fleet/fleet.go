@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
 
@@ -229,7 +230,8 @@ type worker struct {
 // New; Close releases its background machinery.
 type Coordinator struct {
 	opts    Options
-	metrics *metrics
+	metrics *fleetMetrics
+	errs    httpx.Errors
 	prober  *prober
 	reg     *jobs.Registry
 	logger  *slog.Logger
@@ -258,11 +260,12 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	opts = opts.withDefaults()
 	c := &Coordinator{
-		opts:    opts,
-		metrics: newMetrics(),
-		logger:  opts.Logger,
-		lat:     map[string]*latencyWindow{},
+		opts:   opts,
+		errs:   httpx.Errors{RetryAfterS: 1},
+		logger: opts.Logger,
+		lat:    map[string]*latencyWindow{},
 	}
+	c.metrics = newFleetMetrics(c)
 	members := make([]*worker, 0, len(opts.Workers))
 	for _, addr := range opts.Workers {
 		members = append(members, c.newWorker(addr))
@@ -341,26 +344,12 @@ func (c *Coordinator) Close() {
 // in-flight requests for at most drain — the same lifecycle as a
 // worker pixeld, /healthz "draining" included.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	hs := &http.Server{
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          slog.NewLogLogger(c.logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		c.draining.Store(true)
-		c.logger.Info("fleet: shutting down", "drain", drain)
-		dctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		shutdownErr <- hs.Shutdown(dctx)
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	err := <-shutdownErr
-	c.Close()
-	return err
+	return httpx.Lifecycle{
+		Handler:  c.Handler(),
+		Logger:   c.logger,
+		Draining: &c.draining,
+		Shutdown: c.Close,
+	}.Serve(ctx, ln, drain)
 }
 
 // healthyCount returns how many members the prober currently trusts.

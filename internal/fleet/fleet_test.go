@@ -322,8 +322,7 @@ func TestProberEvictsAndRevives(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	members, _ := c.membership()
-	c.metrics.write(&buf, c.healthyCount(), len(members), c.breakersOpen())
+	c.metrics.reg.WriteText(&buf)
 	for _, want := range []string{
 		"pixelfleet_worker_evictions_total 1",
 		"pixelfleet_worker_revivals_total 1",
@@ -503,18 +502,53 @@ func TestCoordinatorSweepJob(t *testing.T) {
 }
 
 // TestValidationMatchesWorker: a request a worker would reject is
-// rejected by the coordinator with the same status and body, without
-// touching any worker.
+// rejected by the coordinator with the same status, Retry-After and
+// body bytes, without touching any worker.
 func TestValidationMatchesWorker(t *testing.T) {
 	workers := startWorkers(t, 1)
 	c := newTestCoordinator(t, Options{Workers: []string{"127.0.0.1:1"}}) // unroutable on purpose
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
-	bad := api.SweepRequest{Networks: []string{"LeNet"}}
-	wantStatus, want := postJSON(t, workers[0]+"/v1/sweep", bad)
-	status, got := postJSON(t, ts.URL+"/v1/sweep", bad)
-	if status != wantStatus || !bytes.Equal(got, want) {
-		t.Fatalf("fleet rejection = %d %s, want %d %s", status, got, wantStatus, want)
+	cases := []struct {
+		name, method, path, body string
+	}{
+		{"sweep missing axes", "POST", "/v1/sweep", `{"networks":["LeNet"]}`},
+		{"malformed JSON", "POST", "/v1/evaluate", `{"network":`},
+		{"unknown field", "POST", "/v1/evaluate", `{"network":"LeNet","design":"OO","lane":4,"bits":8}`},
+		{"trailing data", "POST", "/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8} trailing garbage {`},
+		{"unknown job GET", "GET", "/v1/jobs/no-such-job", ""},
+		{"unknown job DELETE", "DELETE", "/v1/jobs/no-such-job", ""},
+		{"bad job kind", "POST", "/v1/jobs", `{"kind":"divination"}`},
+	}
+	do := func(t *testing.T, base, method, path, body string) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		buf, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Retry-After"), buf
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantRetry, want := do(t, workers[0], tc.method, tc.path, tc.body)
+			if wantStatus < 400 {
+				t.Fatalf("worker accepted the request: %d %s", wantStatus, want)
+			}
+			status, retry, got := do(t, ts.URL, tc.method, tc.path, tc.body)
+			if status != wantStatus || retry != wantRetry || !bytes.Equal(got, want) {
+				t.Fatalf("fleet rejection = %d Retry-After %q %s, want %d Retry-After %q %s",
+					status, retry, got, wantStatus, wantRetry, want)
+			}
+		})
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"net/http"
 
-	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // Handler returns the coordinator's routing tree: the same routes with
@@ -15,23 +15,37 @@ import (
 // zoo and design table as its workers.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", c.instrument("/healthz", c.handleHealthz))
-	mux.Handle("GET /metrics", c.instrument("/metrics", c.handleMetrics))
-	mux.Handle("GET /v1/networks", c.instrument("/v1/networks", c.handleNetworks))
-	mux.Handle("GET /v1/designs", c.instrument("/v1/designs", c.handleDesigns))
-	mux.Handle("POST /v1/evaluate", c.instrument("/v1/evaluate", c.handleEvaluate))
-	mux.Handle("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
-	mux.Handle("POST /v1/map", c.instrument("/v1/map", c.handleMap))
-	mux.Handle("POST /v1/robustness", c.instrument("/v1/robustness", c.handleRobustness))
-	mux.Handle("POST /v1/infer", c.instrument("/v1/infer", c.handleInfer))
-	mux.Handle("POST /v1/jobs", c.instrument("/v1/jobs", c.handleJobCreate))
-	mux.Handle("GET /v1/jobs/{id}", c.instrument("/v1/jobs/{id}", c.handleJobGet))
-	mux.Handle("DELETE /v1/jobs/{id}", c.instrument("/v1/jobs/{id}", c.handleJobDelete))
-	mux.Handle("GET /v1/jobs/{id}/events", c.instrument("/v1/jobs/{id}/events", c.handleJobEvents))
-	mux.Handle("GET /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkersList))
-	mux.Handle("POST /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkerAdd))
-	mux.Handle("DELETE /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkerRemove))
+	mw := &httpx.Middleware{
+		InFlight:  c.metrics.inFlight,
+		Requests:  c.metrics.requests,
+		Durations: c.metrics.durations,
+		Logger:    c.logger,
+	}
+	mw.Base(mux, &c.draining, &c.metrics.reg)
+	mw.Handle(mux, "POST /v1/evaluate", c.handleEvaluate)
+	mw.Handle(mux, "POST /v1/sweep", c.handleSweep)
+	mw.Handle(mux, "POST /v1/map", c.handleMap)
+	mw.Handle(mux, "POST /v1/robustness", c.handleRobustness)
+	mw.Handle(mux, "POST /v1/infer", c.handleInfer)
+	jobRoutes := httpx.Jobs{Registry: c.reg, Heartbeat: c.opts.Heartbeat, Errors: c.errs}
+	jobRoutes.Register(mux, mw)
+	mw.Handle(mux, "GET /v1/fleet/workers", c.handleWorkersList)
+	mw.Handle(mux, "POST /v1/fleet/workers", c.handleWorkerAdd)
+	mw.Handle(mux, "DELETE /v1/fleet/workers", c.handleWorkerRemove)
 	return mux
+}
+
+// errNoHealthyWorkers is the uniform refusal for synchronous fan-out
+// when every fleet member is evicted: a 503 with its own wire code (not
+// a generic 502 from whichever shard happened to fail first) and a
+// Retry-After hint, so clients can tell "fleet temporarily empty" from
+// a worker-side failure. Fleet jobs never surface this — they park and
+// wait for the prober to revive somebody.
+var errNoHealthyWorkers = &httpx.Error{
+	Status:      http.StatusServiceUnavailable,
+	Code:        "no_healthy_workers",
+	Message:     "no healthy workers in the fleet; retry shortly",
+	RetryAfterS: 1,
 }
 
 // preflight refuses a synchronous fan-out up front when the fleet has
@@ -39,36 +53,10 @@ func (c *Coordinator) Handler() http.Handler {
 // whatever transport error the first doomed shard would produce.
 func (c *Coordinator) preflight(w http.ResponseWriter) bool {
 	if c.healthyCount() == 0 {
-		writeError(w, errNoHealthyWorkers())
+		c.errs.Write(w, errNoHealthyWorkers)
 		return false
 	}
 	return true
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, api.HealthResponse{Status: "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, api.HealthResponse{Status: "ok"})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	members, _ := c.membership()
-	c.metrics.write(w, c.healthyCount(), len(members), c.breakersOpen())
-}
-
-func (c *Coordinator) handleNetworks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.NetworksResponse{Networks: pixel.Networks()})
-}
-
-func (c *Coordinator) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, 3)
-	for _, d := range pixel.Designs() {
-		names = append(names, d.String())
-	}
-	writeJSON(w, http.StatusOK, api.DesignsResponse{Designs: names})
 }
 
 // requestCtx bounds one synchronous fan-out end to end.
@@ -78,8 +66,8 @@ func (c *Coordinator) requestCtx(r *http.Request) (context.Context, context.Canc
 
 func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req api.EvaluateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.errs.Write(w, err)
 		return
 	}
 	if !c.preflight(w) {
@@ -89,16 +77,16 @@ func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, err := c.Evaluate(ctx, req)
 	if err != nil {
-		writeError(w, err)
+		c.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpx.WriteJSON(w, http.StatusOK, res)
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.errs.Write(w, err)
 		return
 	}
 	if !c.preflight(w) {
@@ -108,16 +96,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := c.Sweep(ctx, req)
 	if err != nil {
-		writeError(w, err)
+		c.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	var req api.RobustnessRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.errs.Write(w, err)
 		return
 	}
 	if !c.preflight(w) {
@@ -127,16 +115,16 @@ func (c *Coordinator) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := c.Robustness(ctx, req)
 	if err != nil {
-		writeError(w, err)
+		c.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 	var req api.MapRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.errs.Write(w, err)
 		return
 	}
 	if !c.preflight(w) {
@@ -146,16 +134,16 @@ func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := c.Map(ctx, req)
 	if err != nil {
-		writeError(w, err)
+		c.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req api.InferRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.errs.Write(w, err)
 		return
 	}
 	if !c.preflight(w) {
@@ -165,8 +153,8 @@ func (c *Coordinator) handleInfer(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := c.Infer(ctx, req)
 	if err != nil {
-		writeError(w, err)
+		c.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,31 +1,19 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"slices"
 	"sort"
 	"sync"
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
-
-// strictUnmarshal mirrors the worker's job-spec decoding: unknown
-// fields fail at submission with the same message.
-func strictUnmarshal(spec json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequestf("bad job spec: %v", err)
-	}
-	return nil
-}
 
 // buildJobTask is the coordinator's jobs.Factory. Validation runs
 // eagerly through the same planners the synchronous routes use — a bad
@@ -39,7 +27,7 @@ func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task
 	switch kind {
 	case api.JobKindRobustness:
 		var req api.RobustnessRequest
-		if err := strictUnmarshal(spec, &req); err != nil {
+		if err := httpx.Unmarshal(spec, &req); err != nil {
 			return nil, err
 		}
 		if _, err := planRobustness(req, c.opts.MaxTrials, 1); err != nil {
@@ -54,7 +42,7 @@ func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task
 
 	case api.JobKindSweep:
 		var req api.SweepRequest
-		if err := strictUnmarshal(spec, &req); err != nil {
+		if err := httpx.Unmarshal(spec, &req); err != nil {
 			return nil, err
 		}
 		unit, points, err := planSweep(req, 1)
@@ -71,7 +59,7 @@ func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task
 		}, nil
 
 	default:
-		return nil, badRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
+		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
 	}
 }
 
@@ -793,100 +781,4 @@ func (t *fleetSweepTask) finalize() (any, error) {
 		out.Results[n] = rows
 	}
 	return out, nil
-}
-
-func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	var spec any
-	switch req.Kind {
-	case api.JobKindRobustness:
-		if req.Robustness == nil {
-			writeError(w, badRequestf("kind %q requires a robustness spec", req.Kind))
-			return
-		}
-		spec = req.Robustness
-	case api.JobKindSweep:
-		if req.Sweep == nil {
-			writeError(w, badRequestf("kind %q requires a sweep spec", req.Kind))
-			return
-		}
-		spec = req.Sweep
-	default:
-		writeError(w, badRequestf("unknown job kind %q (have %q, %q)", req.Kind, api.JobKindRobustness, api.JobKindSweep))
-		return
-	}
-	buf, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, fmt.Errorf("encode job spec: %w", err))
-		return
-	}
-	j, err := c.reg.Create(req.Kind, buf)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	st := c.reg.Snapshot(j)
-	writeJSON(w, http.StatusAccepted, api.JobHandle{ID: j.ID, Kind: j.Kind, State: string(st.State)})
-}
-
-// jobByPath resolves {id}; a miss writes the 404 and returns nil.
-func (c *Coordinator) jobByPath(w http.ResponseWriter, r *http.Request) *jobs.Job {
-	id := r.PathValue("id")
-	j, ok := c.reg.Get(id)
-	if !ok {
-		writeError(w, &httpError{status: http.StatusNotFound, code: "not_found", msg: fmt.Sprintf("no job %q", id)})
-		return nil
-	}
-	return j
-}
-
-func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	j := c.jobByPath(w, r)
-	if j == nil {
-		return
-	}
-	st := c.reg.Snapshot(j)
-	resp := api.JobStatusResponse{
-		ID:          st.ID,
-		Kind:        st.Kind,
-		State:       string(st.State),
-		Done:        st.Done,
-		Total:       st.Total,
-		CreatedUnix: st.CreatedUnix,
-		Adopted:     st.Adopted,
-		Error:       st.Error,
-		Result:      json.RawMessage(st.Result),
-	}
-	if st.Partial != nil {
-		if buf, err := json.Marshal(st.Partial); err == nil {
-			resp.Partial = buf
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := c.reg.Delete(id); err != nil {
-		writeError(w, &httpError{status: http.StatusNotFound, code: "not_found", msg: err.Error()})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := c.jobByPath(w, r)
-	if j == nil {
-		return
-	}
-	err := c.reg.StreamEvents(w, r, j, c.opts.Heartbeat, func(st jobs.JobStatus) any {
-		return api.JobProgress{Done: st.Done, Total: st.Total, Error: st.Error}
-	})
-	if err != nil {
-		writeError(w, err)
-	}
 }

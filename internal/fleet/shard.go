@@ -6,6 +6,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // Request-size limits mirrored from the worker's synchronous routes: a
@@ -35,10 +36,10 @@ type sweepShard struct {
 // pure cross product. points is the full grid size.
 func planSweep(req api.SweepRequest, target int) (shards []sweepShard, points int, err error) {
 	if len(req.Networks) == 0 {
-		return nil, 0, badRequestf("networks must be non-empty")
+		return nil, 0, httpx.BadRequestf("networks must be non-empty")
 	}
 	if len(req.Lanes) == 0 || len(req.Bits) == 0 {
-		return nil, 0, badRequestf("lanes and bits axes must be non-empty")
+		return nil, 0, httpx.BadRequestf("lanes and bits axes must be non-empty")
 	}
 	designs := pixel.Designs()
 	if len(req.Designs) > 0 {
@@ -58,7 +59,7 @@ func planSweep(req api.SweepRequest, target int) (shards []sweepShard, points in
 	D, L, B := len(designs), len(req.Lanes), len(req.Bits)
 	points = D * L * B
 	if n := len(req.Networks) * points; n > maxSweepJobs {
-		return nil, 0, badRequestf("sweep of %d jobs exceeds the %d-job limit", n, maxSweepJobs)
+		return nil, 0, httpx.BadRequestf("sweep of %d jobs exceeds the %d-job limit", n, maxSweepJobs)
 	}
 	if target < 1 {
 		target = 1
@@ -150,10 +151,10 @@ func planRobustness(req api.RobustnessRequest, maxTrials, target int) ([]robustS
 		return nil, err
 	}
 	if req.Trials > maxTrials {
-		return nil, badRequestf("trials %d exceeds the %d-trial limit", req.Trials, maxTrials)
+		return nil, httpx.BadRequestf("trials %d exceeds the %d-trial limit", req.Trials, maxTrials)
 	}
 	if len(req.Sigmas) > maxSigmaPoints {
-		return nil, badRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints)
+		return nil, httpx.BadRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints)
 	}
 	n := len(req.Sigmas)
 	if n == 0 || target <= 1 {

@@ -58,6 +58,11 @@ type Factory func(kind string, spec json.RawMessage) (Task, error)
 // another job until finished ones expire or are deleted.
 var ErrRegistryFull = errors.New("jobs: registry full")
 
+// ErrNoJob reports an id the registry does not track. It carries no
+// package prefix because Get's message is the wire text of a job
+// route's 404.
+var ErrNoJob = errors.New("no job")
+
 // RegistryOptions configures a Registry.
 type RegistryOptions struct {
 	// Factory builds tasks from (kind, spec). Required.
@@ -254,12 +259,15 @@ func (r *Registry) Create(kind string, spec json.RawMessage) (*Job, error) {
 	return j, nil
 }
 
-// Get returns the job with the given id.
-func (r *Registry) Get(id string) (*Job, bool) {
+// Get returns the job with the given id, or an error wrapping ErrNoJob.
+func (r *Registry) Get(id string) (*Job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j, ok := r.jobs[id]
-	return j, ok
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrNoJob, id)
+	}
+	return j, nil
 }
 
 // Snapshot returns a consistent view of the job's state and progress.
@@ -292,7 +300,7 @@ func (r *Registry) Delete(id string) error {
 	j, ok := r.jobs[id]
 	if !ok {
 		r.mu.Unlock()
-		return fmt.Errorf("jobs: no job %q", id)
+		return fmt.Errorf("jobs: %w %q", ErrNoJob, id)
 	}
 	delete(r.jobs, id)
 	j.deleted = true

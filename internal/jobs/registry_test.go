@@ -168,8 +168,11 @@ func TestRegistryDeleteCancelsRunning(t *testing.T) {
 	if err := r.Delete(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Get(j.ID); ok {
-		t.Fatal("deleted job still resolvable")
+	if _, err := r.Get(j.ID); !errors.Is(err, ErrNoJob) {
+		t.Fatalf("Get after Delete: err = %v, want ErrNoJob", err)
+	}
+	if err := r.Delete(j.ID); !errors.Is(err, ErrNoJob) {
+		t.Fatalf("second Delete: err = %v, want ErrNoJob", err)
 	}
 	if e := waitTerminal(t, j); e.Type != EventCancelled {
 		t.Fatalf("terminal event %q, want cancelled", e.Type)
@@ -210,7 +213,7 @@ func TestRegistryTTLEviction(t *testing.T) {
 	waitTerminal(t, j)
 	deadline := time.After(10 * time.Second)
 	for {
-		if _, ok := r.Get(j.ID); !ok {
+		if _, err := r.Get(j.ID); err != nil {
 			break
 		}
 		select {
@@ -284,8 +287,8 @@ func TestRegistryShutdownRecovery(t *testing.T) {
 	if resumed != 1 {
 		t.Fatalf("resumed %d jobs, want 1", resumed)
 	}
-	j2, ok := r2.Get(j1.ID)
-	if !ok {
+	j2, err := r2.Get(j1.ID)
+	if err != nil {
 		t.Fatal("re-adopted job not resolvable under its original id")
 	}
 	if e := waitTerminal(t, j2); e.Type != EventSucceeded {
@@ -384,8 +387,8 @@ func TestRegistryRestartStreamContinuity(t *testing.T) {
 	if resumed, err := r2.Recover(); err != nil || resumed != 1 {
 		t.Fatalf("recover: resumed=%d err=%v", resumed, err)
 	}
-	j2, ok := r2.Get(j1.ID)
-	if !ok {
+	j2, err := r2.Get(j1.ID)
+	if err != nil {
 		t.Fatal("re-adopted job not resolvable")
 	}
 	waitTerminal(t, j2)
@@ -451,8 +454,8 @@ func TestRegistryRecoverFinishedJob(t *testing.T) {
 	if resumed != 0 {
 		t.Fatalf("resumed %d, want 0", resumed)
 	}
-	j2, ok := r2.Get(j1.ID)
-	if !ok {
+	j2, err := r2.Get(j1.ID)
+	if err != nil {
 		t.Fatal("finished job lost across restart")
 	}
 	st := r2.Snapshot(j2)

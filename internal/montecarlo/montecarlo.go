@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pixel/internal/arch"
 	"pixel/internal/bitserial"
+	"pixel/internal/par"
 	"pixel/internal/protect"
 	"pixel/internal/qnn"
 	"pixel/internal/tensor"
@@ -320,74 +320,31 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 		hooks.OnTrial(done, jobs)
 	}
 
-	workers := spec.Workers
-	if workers <= 0 || workers > jobs {
-		workers = clampWorkers(workers, jobs)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, jobs)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= jobs {
-					return
-				}
-				if st.isDone(j) {
-					continue // restored from a checkpoint
-				}
-				if err := runCtx.Err(); err != nil {
-					errs[j] = err
-					return
-				}
-				sigmaIdx, trial := j/spec.Trials, j%spec.Trials
-				res, err := runTrial(runCtx, spec, spec.Sigmas[sigmaIdx], trial, baseline, baseArgmax)
-				if err != nil {
-					errs[j] = err
-					cancel()
-					return
-				}
-				completed := st.set(j, res)
-				if hooks.OnTrial != nil || hooks.OnPoint != nil {
-					hookMu.Lock()
-					if hooks.OnTrial != nil {
-						hooks.OnTrial(completed, jobs)
-					}
-					rowLeft[sigmaIdx]--
-					if rowLeft[sigmaIdx] == 0 {
-						emitPoint(sigmaIdx)
-					}
-					hookMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var cancelled error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	err = par.For(ctx, jobs, spec.Workers, func(ctx context.Context, _, j int) error {
+		if st.isDone(j) {
+			return nil // restored from a checkpoint
 		}
-		if errors.Is(err, context.Canceled) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
+		sigmaIdx, trial := j/spec.Trials, j%spec.Trials
+		res, err := runTrial(ctx, spec, spec.Sigmas[sigmaIdx], trial, baseline, baseArgmax)
+		if err != nil {
+			return err
 		}
+		completed := st.set(j, res)
+		if hooks.OnTrial != nil || hooks.OnPoint != nil {
+			hookMu.Lock()
+			if hooks.OnTrial != nil {
+				hooks.OnTrial(completed, jobs)
+			}
+			rowLeft[sigmaIdx]--
+			if rowLeft[sigmaIdx] == 0 {
+				emitPoint(sigmaIdx)
+			}
+			hookMu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if cancelled != nil {
-		return nil, cancelled
 	}
 
 	rep := &Report{
@@ -582,18 +539,4 @@ func argmax(xs []int64) int {
 		}
 	}
 	return best
-}
-
-// clampWorkers mirrors the qnn/sweep idiom locally.
-func clampWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

@@ -1,13 +1,6 @@
 package qnn
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // BatchDotter is the layer-level MAC abstraction: one packed weight
 // vector evaluated against many activation windows in a single call.
@@ -91,92 +84,4 @@ func dotBatch(d Dotter, windows [][]uint64, weights []uint64, out []uint64) erro
 		out[i] = v
 	}
 	return nil
-}
-
-// clampWorkers resolves a requested pool width against n work items:
-// <= 0 means GOMAXPROCS, and the pool never exceeds the work count.
-func clampWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// parallelFor runs fn(worker, i) for every i in [0, n) across a worker
-// pool, following the internal/sweep idiom: an atomic work counter, a
-// cancel on first failure, and per-index error slots so the reported
-// error is deterministic (the lowest failing index, exactly what a
-// serial loop would have hit first). workers <= 0 means GOMAXPROCS;
-// the worker argument lets callers reuse per-worker scratch buffers.
-func parallelFor(ctx context.Context, n, workers int, fn func(worker, i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = clampWorkers(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if err := runCtx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				if err := fn(worker, i); err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Report the first real failure in index order; collateral
-	// cancellations of in-flight indices lose to it.
-	var cancelled error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
-		}
-		return err
-	}
-	return cancelled
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pixel/internal/par"
 	"pixel/internal/tensor"
 )
 
@@ -210,9 +211,9 @@ func (c *Conv) applyCtx(ctx context.Context, in *tensor.Tensor, d Dotter, worker
 	}
 
 	out := tensor.New(p.EH, p.EW, k.M)
-	workers = clampWorkers(workers, p.EH)
+	workers = par.Width(workers, p.EH)
 	scratch := make([]uint64, workers*p.EW)
-	err = parallelFor(ctx, p.EH, workers, func(worker, oy int) error {
+	err = par.For(ctx, p.EH, workers, func(_ context.Context, worker, oy int) error {
 		rowOut := scratch[worker*p.EW : (worker+1)*p.EW]
 		rowWins := windows[oy*p.EW : (oy+1)*p.EW]
 		for m := 0; m < k.M; m++ {
@@ -291,7 +292,7 @@ func (f *FullyConnected) applyCtx(ctx context.Context, in *tensor.Tensor, d Dott
 		return nil, err
 	}
 	out := tensor.New(1, 1, f.Out)
-	err = parallelFor(ctx, f.Out, workers, func(_, o int) error {
+	err = par.For(ctx, f.Out, workers, func(_ context.Context, _, o int) error {
 		acc, err := d.DotProduct(xs, ws[o])
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pixel/internal/par"
 	"pixel/internal/tensor"
 )
 
@@ -341,7 +342,7 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 	for b := range outs {
 		outs[b] = run.arena.Get(outH, outW, k.M)
 	}
-	err = parallelFor(ctx, len(ins), workers, func(_, b int) error {
+	err = par.For(ctx, len(ins), workers, func(_ context.Context, _, b int) error {
 		in := ins[b]
 		for i, v := range in.Data {
 			if v < 0 {
@@ -424,8 +425,8 @@ func (f *FullyConnected) applyBatchFused(ctx context.Context, run *batchRun, d D
 	// boundaries vary with the worker count but every (neuron, input)
 	// product is the same call either way, so results are placement-
 	// deterministic and bit-identical.
-	chunks := clampWorkers(workers, f.Out)
-	err = parallelFor(ctx, chunks, workers, func(_, ci int) error {
+	chunks := par.Width(workers, f.Out)
+	err = par.For(ctx, chunks, workers, func(_ context.Context, _, ci int) error {
 		lo := ci * f.Out / chunks
 		hi := (ci + 1) * f.Out / chunks
 		return dotMulti(d, windows, filters[lo:hi], outRows[lo:hi])

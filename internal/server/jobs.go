@@ -1,17 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
 
@@ -93,17 +91,6 @@ func (s *Server) Close() {
 	}
 }
 
-// strictUnmarshal is decodeJSON's body-less twin for job specs: unknown
-// fields fail loudly at submission, not at some later re-adoption.
-func strictUnmarshal(spec json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequestf("bad job spec: %v", err)
-	}
-	return nil
-}
-
 // buildJobTask is the built-in jobs.Factory: it validates the spec with
 // the same limits as the synchronous routes (a job must not be a way
 // around them) and wraps the pixel facade's resumable jobs.
@@ -111,7 +98,7 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 	switch kind {
 	case api.JobKindRobustness:
 		var req api.RobustnessRequest
-		if err := strictUnmarshal(spec, &req); err != nil {
+		if err := httpx.Unmarshal(spec, &req); err != nil {
 			return nil, err
 		}
 		d, err := pixel.ParseDesign(req.Design)
@@ -119,10 +106,10 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 			return nil, err
 		}
 		if req.Trials > s.maxTrials {
-			return nil, badRequestf("trials %d exceeds the %d-trial limit", req.Trials, s.maxTrials)
+			return nil, httpx.BadRequestf("trials %d exceeds the %d-trial limit", req.Trials, s.maxTrials)
 		}
 		if len(req.Sigmas) > maxSigmaPoints {
-			return nil, badRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints)
+			return nil, httpx.BadRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints)
 		}
 		job, err := pixel.NewRobustnessJob(pixel.RobustnessSpec{
 			Network:     req.Network,
@@ -140,14 +127,14 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 
 	case api.JobKindSweep:
 		var req api.SweepRequest
-		if err := strictUnmarshal(spec, &req); err != nil {
+		if err := httpx.Unmarshal(spec, &req); err != nil {
 			return nil, err
 		}
 		if len(req.Networks) == 0 {
-			return nil, badRequestf("networks must be non-empty")
+			return nil, httpx.BadRequestf("networks must be non-empty")
 		}
 		if len(req.Lanes) == 0 || len(req.Bits) == 0 {
-			return nil, badRequestf("lanes and bits axes must be non-empty")
+			return nil, httpx.BadRequestf("lanes and bits axes must be non-empty")
 		}
 		designs := pixel.Designs()
 		if len(req.Designs) > 0 {
@@ -162,7 +149,7 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 		}
 		points := pixel.Grid(designs, req.Lanes, req.Bits)
 		if n := len(req.Networks) * len(points); n > maxSweepJobs {
-			return nil, badRequestf("sweep of %d jobs exceeds the %d-job limit", n, maxSweepJobs)
+			return nil, httpx.BadRequestf("sweep of %d jobs exceeds the %d-job limit", n, maxSweepJobs)
 		}
 		var job *pixel.SweepJob
 		var err error
@@ -177,7 +164,7 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 		return &sweepTask{job: job, points: len(points), cells: map[sweepCellKey]api.JobCell{}}, nil
 
 	default:
-		return nil, badRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
+		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
 	}
 }
 
@@ -297,131 +284,4 @@ func (t *sweepTask) Run(ctx context.Context, emit func(string, any)) (any, error
 		resp.Results[name] = rows
 	}
 	return resp, nil
-}
-
-// jobsDisabled is the 501 every job route answers when the registry is
-// not configured.
-func (s *Server) jobsDisabled(w http.ResponseWriter) bool {
-	if s.registry != nil {
-		return false
-	}
-	s.writeError(w, &httpError{
-		status: http.StatusNotImplemented,
-		code:   "not_implemented",
-		msg:    "durable jobs are not enabled on this server",
-	})
-	return true
-}
-
-func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	if s.jobsDisabled(w) {
-		return
-	}
-	var req api.JobRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var spec any
-	switch req.Kind {
-	case api.JobKindRobustness:
-		if req.Robustness == nil {
-			s.writeError(w, badRequestf("kind %q requires a robustness spec", req.Kind))
-			return
-		}
-		spec = req.Robustness
-	case api.JobKindSweep:
-		if req.Sweep == nil {
-			s.writeError(w, badRequestf("kind %q requires a sweep spec", req.Kind))
-			return
-		}
-		spec = req.Sweep
-	default:
-		s.writeError(w, badRequestf("unknown job kind %q (have %q, %q)", req.Kind, api.JobKindRobustness, api.JobKindSweep))
-		return
-	}
-	buf, err := json.Marshal(spec)
-	if err != nil {
-		s.writeError(w, fmt.Errorf("encode job spec: %w", err))
-		return
-	}
-	j, err := s.registry.Create(req.Kind, buf)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.metrics.jobsCreated.Add(1)
-	st := s.registry.Snapshot(j)
-	writeJSON(w, http.StatusAccepted, api.JobHandle{ID: j.ID, Kind: j.Kind, State: string(st.State)})
-}
-
-// jobByPath resolves {id}; a miss writes the 404 and returns nil.
-func (s *Server) jobByPath(w http.ResponseWriter, r *http.Request) *jobs.Job {
-	id := r.PathValue("id")
-	j, ok := s.registry.Get(id)
-	if !ok {
-		s.writeError(w, &httpError{status: http.StatusNotFound, code: "not_found", msg: fmt.Sprintf("no job %q", id)})
-		return nil
-	}
-	return j
-}
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if s.jobsDisabled(w) {
-		return
-	}
-	j := s.jobByPath(w, r)
-	if j == nil {
-		return
-	}
-	st := s.registry.Snapshot(j)
-	resp := api.JobStatusResponse{
-		ID:          st.ID,
-		Kind:        st.Kind,
-		State:       string(st.State),
-		Done:        st.Done,
-		Total:       st.Total,
-		CreatedUnix: st.CreatedUnix,
-		Adopted:     st.Adopted,
-		Error:       st.Error,
-		Result:      json.RawMessage(st.Result),
-	}
-	if st.Partial != nil {
-		if buf, err := json.Marshal(st.Partial); err == nil {
-			resp.Partial = buf
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	if s.jobsDisabled(w) {
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.registry.Delete(id); err != nil {
-		s.writeError(w, &httpError{status: http.StatusNotFound, code: "not_found", msg: err.Error()})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJobEvents streams the job's event log as server-sent events
-// via jobs.StreamEvents (shared with the fleet coordinator): replay
-// from Last-Event-ID, comment heartbeats, stream closes after the
-// terminal event.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if s.jobsDisabled(w) {
-		return
-	}
-	j := s.jobByPath(w, r)
-	if j == nil {
-		return
-	}
-	err := s.registry.StreamEvents(w, r, j, s.heartbeat, func(st jobs.JobStatus) any {
-		return api.JobProgress{Done: st.Done, Total: st.Total, Error: st.Error}
-	})
-	if err != nil {
-		s.writeError(w, err)
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // maxSigmaPoints bounds the σ axis of one robustness request; together
@@ -16,29 +17,25 @@ const maxSigmaPoints = 256
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	if s.robust == nil {
-		s.writeError(w, &httpError{
-			status: http.StatusNotImplemented,
-			code:   "not_implemented",
-			msg:    "robustness sweeps are not enabled on this server",
-		})
+		s.errs.Write(w, httpx.NotImplemented("robustness sweeps are not enabled on this server"))
 		return
 	}
 	var req api.RobustnessRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.errs.Write(w, err)
 		return
 	}
 	d, err := pixel.ParseDesign(req.Design)
 	if err != nil {
-		s.writeError(w, err)
+		s.errs.Write(w, err)
 		return
 	}
 	if req.Trials > s.maxTrials {
-		s.writeError(w, badRequestf("trials %d exceeds the %d-trial limit", req.Trials, s.maxTrials))
+		s.errs.Write(w, httpx.BadRequestf("trials %d exceeds the %d-trial limit", req.Trials, s.maxTrials))
 		return
 	}
 	if len(req.Sigmas) > maxSigmaPoints {
-		s.writeError(w, badRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints))
+		s.errs.Write(w, httpx.BadRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints))
 		return
 	}
 	spec := pixel.RobustnessSpec{
@@ -73,8 +70,8 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalesced.Add(1)
 	}
 	if err != nil {
-		s.writeError(w, err)
+		s.errs.Write(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	httpx.WriteJSON(w, http.StatusOK, rep)
 }

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 )
 
 // stubRobust is a controllable RobustnessEvaluator mirroring
@@ -368,7 +370,7 @@ func TestRobustnessClientCancelReleasesSlot(t *testing.T) {
 		t.Error("client request unexpectedly succeeded")
 	}
 	waitFor(t, "499 recorded", func() bool {
-		return srv.metrics.requestCount("/v1/robustness", statusClientClosedRequest) == 1
+		return srv.metrics.requests.Value("/v1/robustness", strconv.Itoa(httpx.StatusClientClosedRequest)) == 1
 	})
 
 	// The slot must be free again: a fresh request is admitted and

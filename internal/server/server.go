@@ -26,14 +26,15 @@ package server
 
 import (
 	"context"
-	"errors"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
 
@@ -120,10 +121,10 @@ type Server struct {
 	batcher        *microBatcher
 	maxTrials      int
 	limiter        *limiter
-	metrics        *metrics
+	metrics        *serverMetrics
+	errs           httpx.Errors
 	logger         *slog.Logger
 	requestTimeout time.Duration
-	retryAfter     time.Duration
 
 	evalFlights   *flightGroup[pixel.Result]
 	sweepFlights  *flightGroup[map[string][]pixel.Result]
@@ -162,16 +163,19 @@ func New(cfg Config) *Server {
 	if maxTrials <= 0 {
 		maxTrials = DefaultMaxTrials
 	}
+	m := newServerMetrics(cfg.Engine)
 	s := &Server{
-		engine:         cfg.Engine,
-		robust:         cfg.Robust,
-		infer:          cfg.Infer,
-		maxTrials:      maxTrials,
-		limiter:        newLimiter(maxInFlight, queueTimeout),
-		metrics:        newMetrics(),
+		engine:    cfg.Engine,
+		robust:    cfg.Robust,
+		infer:     cfg.Infer,
+		maxTrials: maxTrials,
+		limiter:   newLimiter(maxInFlight, queueTimeout),
+		metrics:   m,
+		// A shed request is told to come back after about one queue
+		// timeout, the wait it just lost.
+		errs:           httpx.Errors{RetryAfterS: int(math.Ceil(math.Max(queueTimeout.Seconds(), 1))), Shed: m.shed},
 		logger:         logger,
 		requestTimeout: requestTimeout,
-		retryAfter:     queueTimeout,
 		evalFlights:    newFlightGroup[pixel.Result](),
 		sweepFlights:   newFlightGroup[map[string][]pixel.Result](),
 		robustFlights:  newFlightGroup[pixel.RobustnessReport](),
@@ -200,19 +204,20 @@ func New(cfg Config) *Server {
 // middleware applied.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.Handle("GET /v1/networks", s.instrument("/v1/networks", s.handleNetworks))
-	mux.Handle("GET /v1/designs", s.instrument("/v1/designs", s.handleDesigns))
-	mux.Handle("POST /v1/evaluate", s.instrument("/v1/evaluate", s.handleEvaluate))
-	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	mux.Handle("POST /v1/map", s.instrument("/v1/map", s.handleMap))
-	mux.Handle("POST /v1/robustness", s.instrument("/v1/robustness", s.handleRobustness))
-	mux.Handle("POST /v1/infer", s.instrument("/v1/infer", s.handleInfer))
-	mux.Handle("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobCreate))
-	mux.Handle("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobDelete))
-	mux.Handle("GET /v1/jobs/{id}/events", s.instrument("/v1/jobs/{id}/events", s.handleJobEvents))
+	mw := &httpx.Middleware{
+		InFlight:  s.metrics.inFlight,
+		Requests:  s.metrics.requests,
+		Durations: s.metrics.durations,
+		Logger:    s.logger,
+	}
+	mw.Base(mux, &s.draining, &s.metrics.reg)
+	mw.Handle(mux, "POST /v1/evaluate", s.handleEvaluate)
+	mw.Handle(mux, "POST /v1/sweep", s.handleSweep)
+	mw.Handle(mux, "POST /v1/map", s.handleMap)
+	mw.Handle(mux, "POST /v1/robustness", s.handleRobustness)
+	mw.Handle(mux, "POST /v1/infer", s.handleInfer)
+	jobRoutes := httpx.Jobs{Registry: s.registry, Heartbeat: s.heartbeat, Errors: s.errs, Created: s.metrics.jobsCreated}
+	jobRoutes.Register(mux, mw)
 	return mux
 }
 
@@ -220,31 +225,20 @@ func (s *Server) Handler() http.Handler {
 // in-flight requests for at most drain before forcing connections
 // closed. It returns once shutdown completes (nil on a clean drain).
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          slog.NewLogLogger(s.logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		s.draining.Store(true)
-		s.logger.Info("shutting down", "drain", drain)
-		dctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		shutdownErr <- hs.Shutdown(dctx)
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	err := <-shutdownErr
-	if s.batcher != nil {
-		// In-flight /v1/infer handlers finished during the HTTP drain;
-		// this flushes any partial batch whose window never filled.
-		s.batcher.Close()
-	}
-	// Running jobs flush a final checkpoint and persist as unfinished,
-	// so the next pixeld process re-adopts them.
-	s.Close()
-	return err
+	return httpx.Lifecycle{
+		Handler:  s.Handler(),
+		Logger:   s.logger,
+		Draining: &s.draining,
+		Shutdown: func() {
+			if s.batcher != nil {
+				// In-flight /v1/infer handlers finished during the HTTP
+				// drain; this flushes any partial batch whose window
+				// never filled.
+				s.batcher.Close()
+			}
+			// Running jobs flush a final checkpoint and persist as
+			// unfinished, so the next pixeld process re-adopts them.
+			s.Close()
+		},
+	}.Serve(ctx, ln, drain)
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 func discardLogger() *slog.Logger {
@@ -258,7 +260,7 @@ func TestSweepClientCancelAbortsEngine(t *testing.T) {
 		t.Error("client request unexpectedly succeeded")
 	}
 	waitFor(t, "499 recorded", func() bool {
-		return srv.metrics.requestCount("/v1/sweep", statusClientClosedRequest) == 1
+		return srv.metrics.requests.Value("/v1/sweep", strconv.Itoa(httpx.StatusClientClosedRequest)) == 1
 	})
 }
 
@@ -282,6 +284,8 @@ func TestSentinelErrorMapping(t *testing.T) {
 		{"bad precision bits", "/v1/evaluate", `{"network":"AlexNet","design":"OO","lanes":4,"bits":1000}`, 400, "bad_precision"},
 		{"malformed body", "/v1/evaluate", `{"network":`, 400, "bad_request"},
 		{"unknown field", "/v1/evaluate", `{"network":"AlexNet","design":"OO","lane":4,"bits":16}`, 400, "bad_request"},
+		{"trailing garbage", "/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8} trailing garbage {`, 400, "bad_request"},
+		{"trailing second value", "/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8}{"network":"nope"}`, 400, "bad_request"},
 		{"sweep no networks", "/v1/sweep", `{"networks":[],"lanes":[4],"bits":[8]}`, 400, "bad_request"},
 		{"sweep empty axis", "/v1/sweep", `{"networks":["AlexNet"],"lanes":[],"bits":[8]}`, 400, "bad_request"},
 		{"sweep unknown network", "/v1/sweep", `{"networks":["NopeNet"],"lanes":[4],"bits":[8]}`, 404, "unknown_network"},
