@@ -155,15 +155,16 @@ func BenchmarkSweep(b *testing.B) {
 // --- Robustness benchmarks: the Monte-Carlo yield sweep with and
 // without fault mitigation. The protected variants run every trial
 // twice (unprotected + protected, common random numbers), so their
-// cost over "nominal" is the price of the paired curve; the scheme
-// overhead factors themselves are recorded in BENCH_robustness.json.
+// cost over "nominal" is the price of the paired curve. End-to-end
+// Monte-Carlo throughput is measured by `bash pixelbench/run.sh
+// --workload mc-robustness`.
 
-func benchRobustness(b *testing.B, prot *pixel.ProtectionSpec) {
+func benchRobustness(b *testing.B, sigma float64, prot *pixel.ProtectionSpec) {
 	b.Helper()
 	spec := pixel.RobustnessSpec{
 		Network:    "lenet",
 		Design:     pixel.OO,
-		Sigmas:     []float64{2},
+		Sigmas:     []float64{sigma},
 		Trials:     4,
 		Seed:       1,
 		Protection: prot,
@@ -181,12 +182,15 @@ func benchRobustness(b *testing.B, prot *pixel.ProtectionSpec) {
 }
 
 // BenchmarkRobustness measures the LeNet OO yield sweep (4 trials at
-// σ=2) nominal and under each mitigation scheme.
+// σ=2, where flips are sparse) nominal and under each mitigation
+// scheme, and unprotected at σ=128, where every exposed bit flips with
+// probability 0.5 and fault sampling dominates the trial.
 func BenchmarkRobustness(b *testing.B) {
-	b.Run("nominal", func(b *testing.B) { benchRobustness(b, nil) })
-	b.Run("tmr", func(b *testing.B) { benchRobustness(b, &pixel.ProtectionSpec{Scheme: "tmr"}) })
-	b.Run("parity", func(b *testing.B) { benchRobustness(b, &pixel.ProtectionSpec{Scheme: "parity"}) })
-	b.Run("guardband", func(b *testing.B) { benchRobustness(b, &pixel.ProtectionSpec{Scheme: "guardband"}) })
+	b.Run("nominal", func(b *testing.B) { benchRobustness(b, 2, nil) })
+	b.Run("tmr", func(b *testing.B) { benchRobustness(b, 2, &pixel.ProtectionSpec{Scheme: "tmr"}) })
+	b.Run("parity", func(b *testing.B) { benchRobustness(b, 2, &pixel.ProtectionSpec{Scheme: "parity"}) })
+	b.Run("guardband", func(b *testing.B) { benchRobustness(b, 2, &pixel.ProtectionSpec{Scheme: "guardband"}) })
+	b.Run("saturated", func(b *testing.B) { benchRobustness(b, 128, nil) })
 }
 
 // --- Serving benchmarks: the HTTP overhead pixeld layers on top of
@@ -248,8 +252,9 @@ func BenchmarkServerEvaluate(b *testing.B) {
 }
 
 // --- Inference-serving benchmarks: the batched bit-sliced pipeline
-// behind /v1/infer, engine-level and over HTTP. Results are recorded
-// in BENCH_serving.json.
+// behind /v1/infer, engine-level and over HTTP. End-to-end serving
+// figures are measured by `bash pixelbench/run.sh --workload
+// infer-open`.
 
 // benchInferImages builds deterministic in-range images for a demo
 // network.

@@ -1,6 +1,10 @@
 package bitserial
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func BenchmarkMultiply8Bit(b *testing.B) {
 	e, err := NewEngine(8, 1)
@@ -152,6 +156,26 @@ func BenchmarkSignedDotProduct(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := e.DotProduct(ns, ss); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFlipStream is the fault sampler alone: one stream flipping
+// the bits of product-width words at a saturated (p=0.5, one draw per
+// two bits) and a sparse (p=1e-3) rate.
+func BenchmarkFlipStream(b *testing.B) {
+	for _, p := range []float64{0.5, 1e-3} {
+		for _, width := range []int{16, 32} {
+			b.Run(fmt.Sprintf("p=%g/width=%d", p, width), func(b *testing.B) {
+				s := newFlipStream(p, rand.New(rand.NewSource(1)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				var v uint64
+				for i := 0; i < b.N; i++ {
+					v = s.apply(v, width)
+				}
+				b.ReportMetric(float64(s.flips)/float64(b.N), "flips/op")
+			})
 		}
 	}
 }

@@ -53,6 +53,8 @@ func (r FlipRates) Zero() bool { return r.Mul <= 0 && r.Acc <= 0 }
 type flipStream struct {
 	p   float64
 	rng *rand.Rand
+	// logq is log(1-p), the divisor of the inverse-CDF gap formula.
+	logq float64
 	// countdown is the number of clean bits remaining before the next
 	// scheduled flip.
 	countdown uint64
@@ -64,6 +66,10 @@ type flipStream struct {
 	// parity bit and escape).
 	words    int64
 	oddWords int64
+	// draws counts gaps drawn before the table is built; tab is built
+	// in place once draws reaches tableAfter.
+	draws int
+	tab   gapTable
 }
 
 // maxGap bounds a sampled gap so float rounding at tiny p cannot
@@ -71,8 +77,14 @@ type flipStream struct {
 // inferences, far beyond any run length.
 const maxGap = uint64(1) << 60
 
+// tableAfter is how many gaps a stream draws through exactGap before
+// it builds its threshold table: a sparse-flip stream that never gets
+// there never pays the build, and a dense one repays it within a few
+// dozen draws.
+const tableAfter = 64
+
 func newFlipStream(p float64, rng *rand.Rand) *flipStream {
-	s := &flipStream{p: p, rng: rng}
+	s := &flipStream{p: p, rng: rng, logq: math.Log1p(-p)}
 	if p > 0 {
 		s.countdown = s.gap()
 	}
@@ -85,11 +97,148 @@ func (s *flipStream) gap() uint64 {
 		return 0
 	}
 	// 1-Float64() is in (0, 1], keeping the log finite.
-	g := math.Floor(math.Log(1-s.rng.Float64()) / math.Log1p(-s.p))
+	x := 1 - s.rng.Float64()
+	if s.draws < tableAfter {
+		s.draws++
+		if s.draws == tableAfter {
+			s.tab.build(s.logq)
+		}
+		return exactGap(x, s.logq)
+	}
+	if g, ok := s.tab.lookup(x); ok {
+		return g
+	}
+	return exactGap(x, s.logq)
+}
+
+// exactGap is the inverse-CDF gap formula, floor(log(x)/log(1-p)) for
+// x in (0, 1], clamped to maxGap. It defines every sampled gap: the
+// threshold table only reproduces its value where that value is
+// certain.
+func exactGap(x, logq float64) uint64 {
+	g := math.Floor(math.Log(x) / logq)
 	if !(g >= 0) || g > float64(maxGap) {
 		return maxGap
 	}
 	return uint64(g)
+}
+
+// gapTable holds the breakpoints of exactGap for one logq, so a dense
+// stream looks its gaps up instead of taking a logarithm per flip.
+// exactGap(x) steps from m-1 to m as x falls through the breakpoint
+// exp(m·logq). The table keeps a guard band around each breakpoint
+// and answers any x outside every band by counting the breakpoints
+// above it; inside a band, and below the last breakpoint, lookup
+// declines and the caller evaluates exactGap itself.
+//
+// Why that count is exactGap's value: math.Log is within one ulp and
+// the division is correctly rounded, so the computed quotient is
+// within 2^-51 relative of the real log(x)/logq, and its floor can
+// differ from the real floor only for x within 2^-51·|log x| relative
+// of a breakpoint. The table stops at tableFloor = 2^-20, so |log x| <
+// 14 wherever it answers; the closed-form seed exp(m·logq) is within
+// 2^-48 of the true breakpoint; and the band reaches 2^-42 either side
+// of it, over thirty times farther than the floor can be wrong. build
+// also evaluates exactGap at both edges of every band and ends the
+// table at the first edge that disagrees.
+//
+// The count costs one table read and one compare: the bit patterns of
+// x in (0, 1] are cut into equal segments below that of 1.0, each
+// 2^-s of a binade (an approximately logarithmic scale), and seg
+// holds, per segment, the number g of bands wholly above it. s is the
+// finest that fits the table into the segments, so a segment normally
+// meets no band but band g, and x lies above it (gap g) or below it
+// (gap g+1). A segment that meets two bands is a slowSegment, answered
+// by exactGap.
+type gapTable struct {
+	// n is the number of breakpoints held; 0 answers nothing.
+	n int
+	// The band around breakpoint m = i+1 is the float64s whose bit
+	// patterns lie in [lo[i], lo[i]+width[i]); lo is decreasing in i.
+	// Positive floats order as their bit patterns do, so band tests
+	// are integer compares.
+	lo, width [gapTableSize]uint64
+	// shift is 52-s: segment i holds the x with
+	// (bits(1) - bits(x)) >> shift == i.
+	shift uint
+	seg   [segments]uint8
+}
+
+const (
+	// gapTableSize caps the breakpoints: at p = 0.5 the table reaches
+	// tableFloor after 20, and at p = 0.1 its 64 cover all but 0.1% of
+	// draws.
+	gapTableSize = 64
+	// tableFloor is the smallest breakpoint the table holds.
+	tableFloor = 0x1p-20
+	// guardBand is the relative half-width of the band around each
+	// breakpoint where lookup defers to exactGap.
+	guardBand = 0x1p-42
+	// segments is the size of the segment index; four or more per
+	// breakpoint keep slow segments rare.
+	segments = 4 * gapTableSize
+	// slowSegment marks a segment lookup cannot answer.
+	slowSegment = 0xff
+	oneBits     = 0x3ff0000000000000 // math.Float64bits(1)
+)
+
+// build fills a zero table for one logq = log(1-p), 0 < p < 1,
+// seeding each breakpoint from the closed form exp(m·logq).
+func (t *gapTable) build(logq float64) {
+	for m := 1; m <= gapTableSize; m++ {
+		b := math.Exp(float64(m) * logq)
+		if b < tableFloor {
+			break
+		}
+		lo, hi := b*(1-guardBand), b*(1+guardBand)
+		if exactGap(lo, logq) != uint64(m) || exactGap(hi, logq) != uint64(m-1) {
+			break
+		}
+		t.lo[m-1] = math.Float64bits(lo)
+		t.width[m-1] = math.Float64bits(hi) - t.lo[m-1]
+		t.n = m
+	}
+	if t.n > 0 {
+		for span := oneBits - t.lo[t.n-1]; span>>t.shift >= segments; t.shift++ {
+		}
+	}
+	// Segment i holds the bit patterns in (bottom, top].
+	g := 0
+	for i := range t.seg {
+		top, bottom := oneBits-uint64(i)<<t.shift, oneBits-uint64(i+1)<<t.shift
+		for g < t.n && t.lo[g] > top {
+			g++
+		}
+		t.seg[i] = uint8(g)
+		if g+1 < t.n && t.lo[g+1]+t.width[g+1] > bottom {
+			t.seg[i] = slowSegment
+		}
+	}
+}
+
+// lookup returns exactGap(x, logq) for x in (0, 1], or false when x
+// lies in a guard band, in a slow segment or past the last breakpoint.
+func (t *gapTable) lookup(x float64) (uint64, bool) {
+	xb := math.Float64bits(x)
+	i := (oneBits - xb) >> (t.shift & 63)
+	if i >= segments {
+		return 0, false
+	}
+	g := int(t.seg[i])
+	if g >= t.n {
+		return 0, false
+	}
+	// One unsigned compare tests the band: below it, xb-lo wraps.
+	if xb-t.lo[g] < t.width[g] {
+		return 0, false
+	}
+	if xb < t.lo[g] {
+		g++
+	}
+	if g >= t.n {
+		return 0, false
+	}
+	return uint64(g), true
 }
 
 // apply advances the stream over the low `width` bits of v, flipping

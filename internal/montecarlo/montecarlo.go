@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -66,12 +67,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("montecarlo: trials %d < 1", s.Trials)
 	case len(s.Sigmas) == 0:
 		return errors.New("montecarlo: empty sigma axis")
-	case s.ErrorBudget < 0 || s.ErrorBudget > 1:
+	case s.ErrorBudget < 0 || s.ErrorBudget > 1 || math.IsNaN(s.ErrorBudget):
 		return fmt.Errorf("montecarlo: error budget %v out of [0,1]", s.ErrorBudget)
 	}
 	for _, sc := range s.Sigmas {
-		if sc < 0 {
-			return fmt.Errorf("montecarlo: negative sigma scale %v", sc)
+		if sc < 0 || math.IsNaN(sc) || math.IsInf(sc, 0) {
+			return fmt.Errorf("montecarlo: sigma scale %v must be finite and non-negative", sc)
 		}
 	}
 	switch s.Design {
